@@ -11,10 +11,17 @@
 #include "obs/Trace.h"
 
 #include <dlfcn.h>
+#include <fcntl.h>
+#include <poll.h>
+#include <signal.h>
+#include <spawn.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -24,6 +31,8 @@
 using namespace lift;
 using namespace lift::native;
 using namespace lift::ocl;
+
+extern char **environ;
 
 namespace {
 
@@ -110,43 +119,136 @@ void writeFile(const std::string &Path, const std::string &Text) {
   std::fclose(F);
 }
 
-/// Shell-quotes one word (single quotes; rejects embedded quotes, which
-/// never occur in sane compiler paths).
-std::string shellQuote(const std::string &S) {
-  if (S.find('\'') != std::string::npos)
-    throw NativeError("native backend: refusing path containing a quote: " +
-                      S);
-  return "'" + S + "'";
-}
+/// What one child process left behind.
+struct CommandResult {
+  int ExitCode = -1; ///< -1: not started, killed, or died on a signal
+  bool TimedOut = false;
+  std::string Output; ///< combined stdout + stderr
+};
 
-/// Runs \p Command via popen, capturing combined stdout+stderr.
-/// Returns the exit code (-1 when the shell could not run).
-int runCommand(const std::string &Command, std::string &Output) {
-  Output.clear();
-  std::FILE *P = ::popen((Command + " 2>&1").c_str(), "r");
-  if (!P)
-    return -1;
+/// Spawns \p Argv (Argv[0] is a path, no shell) with stdout and stderr
+/// on one pipe, collecting the output until the child exits or
+/// \p TimeoutSeconds pass. The child leads its own process group, so
+/// at the deadline the whole group (the compiler driver and the
+/// cc1/as/ld it started) is killed and reaped.
+CommandResult runCommand(const std::vector<std::string> &Argv,
+                         double TimeoutSeconds) {
+  using Clock = std::chrono::steady_clock;
+  CommandResult R;
+  // Close-on-exec, so children spawned concurrently from other threads
+  // never hold this pipe open; the dup2s below clear it for ours.
+  int Fds[2];
+  if (::pipe2(Fds, O_CLOEXEC) != 0)
+    return R;
+  posix_spawn_file_actions_t Actions;
+  posix_spawn_file_actions_init(&Actions);
+  posix_spawn_file_actions_adddup2(&Actions, Fds[1], STDOUT_FILENO);
+  posix_spawn_file_actions_adddup2(&Actions, Fds[1], STDERR_FILENO);
+  posix_spawnattr_t Attr;
+  posix_spawnattr_init(&Attr);
+  posix_spawnattr_setflags(&Attr, POSIX_SPAWN_SETPGROUP);
+  posix_spawnattr_setpgroup(&Attr, 0);
+  std::vector<char *> Args;
+  for (const std::string &A : Argv)
+    Args.push_back(const_cast<char *>(A.c_str()));
+  Args.push_back(nullptr);
+  pid_t Pid = 0;
+  int SpawnErr =
+      ::posix_spawn(&Pid, Args[0], &Actions, &Attr, Args.data(), environ);
+  posix_spawn_file_actions_destroy(&Actions);
+  posix_spawnattr_destroy(&Attr);
+  ::close(Fds[1]);
+  if (SpawnErr != 0) {
+    ::close(Fds[0]);
+    return R;
+  }
+
+  // Capped (NaN included) so the duration cast below cannot overflow.
+  if (!(TimeoutSeconds < 1e9))
+    TimeoutSeconds = 1e9;
+  const Clock::time_point Deadline =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(TimeoutSeconds));
+  auto MsLeft = [&Deadline] {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               Deadline - Clock::now())
+        .count();
+  };
   char Buf[4096];
-  std::size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), P)) > 0)
-    Output.append(Buf, N);
-  int Status = ::pclose(P);
-  if (Status < 0)
-    return -1;
-  return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+  bool Eof = false;
+  while (!Eof) {
+    long long Left = MsLeft();
+    if (Left <= 0) {
+      R.TimedOut = true;
+      break;
+    }
+    struct pollfd P = {Fds[0], POLLIN, 0};
+    int N = ::poll(&P, 1, int(std::min<long long>(Left, 1 << 30)));
+    if (N < 0 && errno != EINTR)
+      break;
+    if (N <= 0)
+      continue;
+    ssize_t Got = ::read(Fds[0], Buf, sizeof(Buf));
+    if (Got > 0)
+      R.Output.append(Buf, std::size_t(Got));
+    else if (Got == 0)
+      Eof = true;
+    else if (errno != EINTR)
+      break;
+  }
+  ::close(Fds[0]);
+  // EOF means the compiler and everything it started closed the pipe,
+  // i.e. exited, so the wait below returns at once. Anything else
+  // (the deadline, a failed poll or read) kills the group first.
+  if (!Eof)
+    ::kill(-Pid, SIGKILL);
+  int Status = 0;
+  while (::waitpid(Pid, &Status, 0) < 0 && errno == EINTR) {
+  }
+  if (Eof && WIFEXITED(Status))
+    R.ExitCode = WEXITSTATUS(Status);
+  return R;
 }
 
-/// One compile attempt; returns the compiler exit code.
-int invokeCompiler(const std::string &Compiler, const std::string &Src,
-                   const std::string &Obj, const NativeOptions &O,
-                   bool WithOpenMP, std::string &Diag) {
-  std::string Cmd = shellQuote(Compiler) + " -O" +
-                    std::to_string(O.OptLevel) +
-                    " -fPIC -shared -ffp-contract=off";
+std::string formatSeconds(double S) {
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%g s", S);
+  return Buf;
+}
+
+/// One compile attempt.
+CommandResult invokeCompiler(const std::string &Compiler,
+                             const std::string &Src, const std::string &Obj,
+                             const NativeOptions &O, bool WithOpenMP) {
+  std::vector<std::string> Argv = {Compiler,
+                                   "-O" + std::to_string(O.OptLevel),
+                                   "-fPIC", "-shared", "-ffp-contract=off"};
   if (WithOpenMP)
-    Cmd += " -fopenmp";
-  Cmd += " -o " + shellQuote(Obj) + " " + shellQuote(Src) + " -lm";
-  return runCommand(Cmd, Diag);
+    Argv.push_back("-fopenmp");
+  for (const char *A : {"-o", Obj.c_str(), Src.c_str(), "-lm"})
+    Argv.push_back(A);
+  return runCommand(Argv, O.CompileTimeoutSeconds);
+}
+
+/// Loads the OpenMP runtime of \p Compiler (libgomp for gcc, libomp
+/// for clang) once per process and never unloads it. Without the pin a
+/// kernel's .so holds the only reference: its dlclose unmaps the
+/// runtime while the runtime's parked worker threads still sleep inside
+/// it, and they fault. A runtime that cannot be loaded is left alone;
+/// the -fopenmp link then fails the same way and the sequential retry
+/// needs no runtime.
+void pinOpenMPRuntime(const std::string &Compiler) {
+  static std::once_flag Once;
+  std::call_once(Once, [&Compiler] {
+    // `cc` is usually a link to the real driver; its name tells the
+    // family.
+    char *Real = ::realpath(Compiler.c_str(), nullptr);
+    std::string Path = Real ? Real : Compiler;
+    std::free(Real);
+    bool Clang = Path.find("clang", Path.rfind('/') + 1) != std::string::npos;
+    ::dlopen(Clang ? "libomp.so" : "libgomp.so.1",
+             RTLD_NOW | RTLD_GLOBAL | RTLD_NODELETE);
+  });
 }
 
 /// Recovers the entry name from emitted source: the emitter may have
@@ -233,25 +335,30 @@ NativeKernelPtr lift::native::compileCSource(const std::string &Source,
   std::string Obj = Tmp.file(EntryName + ".so");
   writeFile(Src, Source);
 
-  std::string Diag;
-  int RC = invokeCompiler(Compiler, Src, Obj, O, O.OpenMP, Diag);
-  if (RC != 0 && O.OpenMP) {
+  CommandResult Run = invokeCompiler(Compiler, Src, Obj, O, O.OpenMP);
+  if (Run.TimedOut)
+    throw CompileFailedError("native backend: '" + Compiler +
+                                 "' was killed at the compile time limit (" +
+                                 formatSeconds(O.CompileTimeoutSeconds) +
+                                 "):\n" + Run.Output,
+                             Run.Output, Source);
+  if (Run.ExitCode != 0 && O.OpenMP) {
     // Some toolchains (clang without libomp) cannot link -fopenmp;
     // retry sequentially — the pragmas are then inert, which is still
     // correct, just single-threaded.
-    std::string Diag2;
-    if (invokeCompiler(Compiler, Src, Obj, O, /*WithOpenMP=*/false,
-                       Diag2) == 0) {
-      RC = 0;
-      Diag.clear();
-    }
+    CommandResult Seq =
+        invokeCompiler(Compiler, Src, Obj, O, /*WithOpenMP=*/false);
+    if (Seq.ExitCode == 0 && !Seq.TimedOut)
+      Run = std::move(Seq);
   }
-  if (RC != 0)
+  if (Run.ExitCode != 0)
     throw CompileFailedError("native backend: '" + Compiler +
-                                 "' failed (exit " + std::to_string(RC) +
-                                 "):\n" + Diag,
-                             Diag, Source);
+                                 "' failed (exit " +
+                                 std::to_string(Run.ExitCode) + "):\n" +
+                                 Run.Output,
+                             Run.Output, Source);
 
+  pinOpenMPRuntime(Compiler);
   void *Handle = ::dlopen(Obj.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (!Handle) {
     const char *E = ::dlerror();
@@ -261,12 +368,12 @@ NativeKernelPtr lift::native::compileCSource(const std::string &Source,
   ::dlerror();
   void *Sym = ::dlsym(Handle, EntryName.c_str());
   if (!Sym) {
+    // Copied first: dlclose frees the buffer dlerror points into.
     const char *E = ::dlerror();
+    std::string Detail = E ? std::string(" (") + E + ")" : std::string();
     ::dlclose(Handle);
-    throw SymbolNotFoundError(
-        "native backend: entry symbol '" + EntryName +
-        "' not found in compiled kernel" +
-        (E ? std::string(" (") + E + ")" : std::string()));
+    throw SymbolNotFoundError("native backend: entry symbol '" + EntryName +
+                              "' not found in compiled kernel" + Detail);
   }
   obs::Registry::global().counter("native.compiles").inc();
   // The signature line tells the ABI apart: profile-mode sources take

@@ -16,7 +16,7 @@
 /// from actual execution.
 ///
 /// Everything that can fail for environmental reasons (no compiler,
-/// compile error, missing symbol) throws a subclass of
+/// compile error or time limit, missing symbol) throws a subclass of
 /// lift::RecoverableError carrying the compiler diagnostics, so
 /// drivers can degrade gracefully; invariant violations (mismatched
 /// buffer counts, unbound sizes) stay fatal like everywhere else.
@@ -93,6 +93,10 @@ struct NativeOptions {
   /// kernel runs sequentially, which is always correct.
   bool OpenMP = true;
   int OptLevel = 2;
+  /// Wall-clock limit of one compiler invocation. At the limit the
+  /// compiler and its children are killed and the compile throws
+  /// CompileFailedError, so a hung toolchain cannot stall a sweep.
+  double CompileTimeoutSeconds = 120;
   /// Leave the temp directory (source + object) behind for debugging.
   bool KeepTemps = false;
   /// Disable `#pragma omp` emission entirely (sequential source).
@@ -120,7 +124,9 @@ void probeToolchain(const NativeOptions &O = {});
 
 /// A dlopen()ed native kernel. Owns the library handle; the mapping
 /// (and the entry pointer) stays valid for the object's lifetime even
-/// though the backing file is already unlinked.
+/// though the backing file is already unlinked. Releasing the last
+/// reference dlclose()s it, which is safe after multi-threaded runs:
+/// the OpenMP runtime is pinned in memory before the first load.
 class NativeKernel {
 public:
   /// The positional ABI emitted by CEmitter.

@@ -18,6 +18,7 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -176,6 +177,8 @@ public:
     std::mutex M;
     std::condition_variable CV;
     bool Ready = false;
+    /// How many distinct keys were acquired before this one.
+    std::size_t Ordinal = 0;
     ExecCounters Counters;
     NDRangeInfo ND;
 
@@ -223,8 +226,9 @@ public:
       return It->second.get();
     }
     Owner = true;
-    return Map.emplace(std::move(K), std::make_unique<Entry>())
-        .first->second.get();
+    auto E = std::make_unique<Entry>();
+    E->Ordinal = Map.size();
+    return Map.emplace(std::move(K), std::move(E)).first->second.get();
   }
 
 private:
@@ -251,14 +255,27 @@ private:
   std::unordered_map<Key, std::unique_ptr<Entry>, KeyHash, KeyEq> Map;
 };
 
-Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
-                   const Candidate &C, const TuneOptions &Opts,
-                   EvalMemo *Memo, PruneReason &Why,
-                   obs::CandidateRecord *Rec) {
-  Why = PruneReason::None;
-  Evaluated R;
-  R.C = C;
+/// The size bindings and cache model every candidate of one problem
+/// is simulated under.
+struct ProblemEnv {
+  CacheConfig Cache;
+  SizeEnv Measure, Target;
 
+  ProblemEnv(const TuningProblem &P, const DeviceSpec &Dev)
+      : Cache(scaledCache(Dev.Cache, P.Measure, P.Target)),
+        Measure(makeSizeEnv(P.Instance, P.Measure)),
+        Target(makeSizeEnv(P.Instance, P.Target)) {}
+};
+
+/// The structural checks, the lowering at the measurement grid and the
+/// static refutation of one candidate. Sets \p Why (and \p WhyNot when
+/// there is more to say than the reason name) when the candidate is
+/// pruned. The lowered program is returned whenever lowering ran, also
+/// when refutation then pruned it.
+ir::Program lowerCandidate(const TuningProblem &P, const DeviceSpec &Dev,
+                           const Candidate &C, const ProblemEnv &Env,
+                           PruneReason &Why, std::string &WhyNot) {
+  Why = PruneReason::None;
   const Benchmark &B = *P.B;
   const LoweringOptions &O = C.Options;
 
@@ -266,7 +283,7 @@ Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
   if (O.Tile) {
     if (O.TileOutputs % B.WindowStep != 0) {
       Why = PruneReason::TileStepMisaligned;
-      return R;
+      return ir::Program();
     }
     // Remainder tiles are legal since the clamped-tail lowering: a
     // tile no longer has to divide the grid, and a tile larger than a
@@ -278,15 +295,15 @@ Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
     if (B.WindowStep != 1 &&
         (!dividesAll(TileK, P.Measure) || !dividesAll(TileK, P.Target))) {
       Why = PruneReason::TileIndivisible;
-      R.WhyNot = std::string(pruneReasonName(Why)) +
-                 ": remainder tiles at window step != 1 are unsupported "
-                 "(tile of " +
-                 std::to_string(TileK) + " outputs)";
-      return R;
+      WhyNot = std::string(pruneReasonName(Why)) +
+               ": remainder tiles at window step != 1 are unsupported "
+               "(tile of " +
+               std::to_string(TileK) + " outputs)";
+      return ir::Program();
     }
     if (O.TileCoarsen > 1 && O.TileOutputs % O.TileCoarsen != 0) {
       Why = PruneReason::TileCoarsenMisaligned;
-      return R;
+      return ir::Program();
     }
     // Local tile must fit the device's local memory.
     if (O.UseLocalMem) {
@@ -295,17 +312,16 @@ Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
       double Bytes = 4.0 * std::pow(TileExtent, double(B.Dims));
       if (Bytes > double(Dev.LocalMemPerCU)) {
         Why = PruneReason::LocalMemOverflow;
-        return R;
+        return ir::Program();
       }
     }
   } else if (O.Coarsen > 1) {
     if (P.Measure.back() % O.Coarsen != 0 || P.Target.back() % O.Coarsen != 0) {
       Why = PruneReason::CoarsenIndivisible;
-      return R;
+      return ir::Program();
     }
   }
 
-  const BenchmarkInstance &I = P.Instance;
   // Lower against the concrete measurement extents: the clamped
   // tiling scheme can then clamp a tile per dimension (e.g. a
   // 16-output tile on Hotspot3D's 4-deep axis), which a fully
@@ -314,50 +330,26 @@ Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
   rewrite::LoweringOptions LO = O;
   if (LO.OutputExtents.empty())
     LO.OutputExtents.assign(P.Measure.begin(), P.Measure.end());
-  ir::Program Low = rewrite::lowerStencil(I.P, LO);
+  ir::Program Low = rewrite::lowerStencil(P.Instance.P, LO);
   if (!Low) {
     Why = PruneReason::LoweringFailed;
-    return R;
+    return Low;
   }
-  std::size_t LowHash = ir::structuralHash(Low);
-  if (Rec)
-    Rec->LoweredHash = LowHash;
-
-  CacheConfig Cache = scaledCache(Dev.Cache, P.Measure, P.Target);
-  auto MeasureEnv = makeSizeEnv(I, P.Measure);
-  auto TargetEnv = makeSizeEnv(I, P.Target);
 
   // Static refutation: a split whose factor provably cannot divide its
   // input length at either grid would only fail later, inside the
   // simulator — discard it here and record why.
-  if (analysis::refuteSplitDivisibility(Low, MeasureEnv) ||
-      analysis::refuteSplitDivisibility(Low, TargetEnv)) {
+  if (analysis::refuteSplitDivisibility(Low, Env.Measure) ||
+      analysis::refuteSplitDivisibility(Low, Env.Target))
     Why = PruneReason::Divisibility;
-    return R;
-  }
+  return Low;
+}
 
-  ExecCounters Counters;
-  NDRangeInfo ND;
-  EvalMemo::Entry *Ent = nullptr;
-  bool Owner = false;
-  if (Memo)
-    Ent = Memo->acquire(Low, MeasureEnv, TargetEnv, Cache, Owner);
-  if (Ent && !Owner) {
-    Ent->wait();
-    Counters = Ent->Counters;
-    ND = Ent->ND;
-    R.FromMemo = true;
-  } else {
-    codegen::Compiled Compiled = codegen::compileProgram(Low, B.Name);
-    codegen::RunResult Run = codegen::runCompiled(Compiled, P.Inputs,
-                                                  MeasureEnv, Cache,
-                                                  Opts.Jobs);
-    Counters = Run.Counters;
-    ND = analyzeNDRange(Compiled.K, TargetEnv);
-    if (Ent)
-      Ent->publish(Counters, ND);
-  }
-
+/// Fills in \p R's modeled time from the simulated counters of its
+/// lowering, and marks it valid.
+void applyModel(const TuningProblem &P, const DeviceSpec &Dev,
+                const ExecCounters &Counters, const NDRangeInfo &ND,
+                Evaluated &R) {
   // Per-candidate simulation roll-up. Counted for memo-served
   // candidates too (re-adding the shared counters), so the totals
   // depend only on the candidate set — identical at any job count and
@@ -368,53 +360,67 @@ Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
       double(totalElems(P.Target)) / double(totalElems(P.Measure));
   ExecCounters Scaled = scaleCounters(Counters, CountScale);
 
-  R.T = estimateTime(Dev, Scaled, ND, C.Launch);
+  R.T = estimateTime(Dev, Scaled, ND, R.C.Launch);
   R.Valid = true;
   R.GElemsPerSec = double(totalElems(P.Target)) / R.T.Total / 1e9;
+}
 
-  // Measured objective: also execute the candidate for real through
-  // the native backend. The KernelCache (keyed on LowHash) compiles
-  // each distinct lowering once per process, so work-group-size
-  // variants of one lowering share a binary; every candidate is still
-  // *measured* individually — wall clock is noisy, never memoized.
-  if (Opts.Obj == Objective::Measured) {
-    try {
-      codegen::Compiled NatC = codegen::compileProgram(Low, B.Name);
-      native::NativeKernelPtr Kern =
-          native::KernelCache::global().getOrCompile(LowHash, NatC.K);
-      native::NativeRunResult NR = native::runNative(
-          NatC, *Kern, P.Inputs, MeasureEnv, Opts.MeasureThreads,
-          Opts.MeasureWarmup, Opts.MeasureRepeats);
-      R.MeasuredSeconds = NR.Seconds;
-      R.MeasuredGElemsPerSec =
-          double(totalElems(P.Measure)) / NR.Seconds / 1e9;
-    } catch (const native::NativeError &) {
-      Why = PruneReason::NativeFailed;
-      R.Valid = false;
-      return R;
-    }
+/// One candidate under the modeled objective: lower, simulate (or take
+/// the memo's shared simulation), model.
+Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
+                   const Candidate &C, const TuneOptions &Opts,
+                   EvalMemo *Memo, PruneReason &Why,
+                   obs::CandidateRecord *Rec) {
+  Evaluated R;
+  R.C = C;
+  ProblemEnv Env(P, Dev);
+  ir::Program Low = lowerCandidate(P, Dev, C, Env, Why, R.WhyNot);
+  if (Low && Rec)
+    Rec->LoweredHash = ir::structuralHash(Low);
+  if (Why != PruneReason::None)
+    return R;
+
+  ExecCounters Counters;
+  NDRangeInfo ND;
+  EvalMemo::Entry *Ent = nullptr;
+  bool Owner = false;
+  if (Memo)
+    Ent = Memo->acquire(Low, Env.Measure, Env.Target, Env.Cache, Owner);
+  if (Ent && !Owner) {
+    Ent->wait();
+    Counters = Ent->Counters;
+    ND = Ent->ND;
+    R.FromMemo = true;
+  } else {
+    codegen::Compiled Compiled = codegen::compileProgram(Low, P.B->Name);
+    codegen::RunResult Run = codegen::runCompiled(Compiled, P.Inputs,
+                                                  Env.Measure, Env.Cache,
+                                                  Opts.Jobs);
+    Counters = Run.Counters;
+    ND = analyzeNDRange(Compiled.K, Env.Target);
+    if (Ent)
+      Ent->publish(Counters, ND);
   }
+  applyModel(P, Dev, Counters, ND, R);
   return R;
 }
 
-/// evalImpl plus observability: the per-candidate trace span, wall
-/// time, prune/valid counters and the flight-recorder record fields
-/// (everything except Index, which only the sweep loop knows).
-Evaluated evalInstrumented(const TuningProblem &P, const DeviceSpec &Dev,
-                           const Candidate &C, const TuneOptions &Opts,
-                           EvalMemo *Memo, PruneReason &Why,
-                           obs::CandidateRecord *Rec) {
-  obs::Span CandSpan("tuner.candidate", "tuner");
-  CandSpan.arg("variant", C.describe());
-  auto T0 = std::chrono::steady_clock::now();
-  Evaluated R = evalImpl(P, Dev, C, Opts, Memo, Why, Rec);
-  // evalImpl may have filled in a detailed message (stable reason name
-  // as prefix); only fall back to the bare reason name when it did not.
+double microsSince(std::chrono::steady_clock::time_point T0) {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - T0)
+      .count();
+}
+
+/// The observability of one finished evaluation: prune/valid counters,
+/// the wall-time histogram and the flight-recorder record fields
+/// (everything except Index and LoweredHash, which the caller knows).
+void recordOutcome(const TuneOptions &Opts, PruneReason Why, double WallUs,
+                   Evaluated &R, obs::CandidateRecord *Rec) {
+  // The evaluation may have filled in a detailed message (stable reason
+  // name as prefix); only fall back to the bare reason name when it did
+  // not.
   if (!R.Valid && R.WhyNot.empty())
     R.WhyNot = pruneReasonName(Why);
-  double WallUs = std::chrono::duration<double, std::micro>(
-                      std::chrono::steady_clock::now() - T0)
-                      .count();
   obs::Registry &Reg = obs::Registry::global();
   Reg.counter("tuner.candidates.enumerated").inc();
   if (R.Valid)
@@ -425,7 +431,7 @@ Evaluated evalInstrumented(const TuningProblem &P, const DeviceSpec &Dev,
     Reg.counter("tuner.memo.hits").inc();
   Reg.histogram("tuner.candidate.wall_us").observe(WallUs);
   if (Rec) {
-    Rec->Variant = C.describe();
+    Rec->Variant = R.C.describe();
     Rec->PredictedTime = R.Valid ? R.T.Total : 0;
     Rec->GElemsPerSec = R.GElemsPerSec;
     Rec->PruneReason = pruneReasonName(Why);
@@ -436,8 +442,133 @@ Evaluated evalInstrumented(const TuningProblem &P, const DeviceSpec &Dev,
     Rec->Objective =
         Opts.Obj == Objective::Measured ? "measured" : "modeled";
   }
+}
+
+/// evalImpl plus observability: the per-candidate trace span and
+/// recordOutcome.
+Evaluated evalInstrumented(const TuningProblem &P, const DeviceSpec &Dev,
+                           const Candidate &C, const TuneOptions &Opts,
+                           EvalMemo *Memo, PruneReason &Why,
+                           obs::CandidateRecord *Rec) {
+  obs::Span CandSpan("tuner.candidate", "tuner");
+  CandSpan.arg("variant", C.describe());
+  auto T0 = std::chrono::steady_clock::now();
+  Evaluated R = evalImpl(P, Dev, C, Opts, Memo, Why, Rec);
+  recordOutcome(Opts, Why, microsSince(T0), R, Rec);
   CandSpan.arg("valid", std::int64_t(R.Valid ? 1 : 0));
   return R;
+}
+
+/// One distinct lowering of a measured sweep, shared by every candidate
+/// that lowers to it: code-generated, simulated and compiled once.
+struct SharedLowering {
+  EvalMemo::Entry *Sim = nullptr; ///< receives the simulated counters
+  std::uint64_t Hash = 0;
+  codegen::Compiled Code;
+  native::NativeKernelPtr Kernel; ///< null: native compilation failed
+};
+
+/// The measured objective's sweep. It runs in three phases, so that no
+/// compiler or simulator shares the machine with a timed run:
+///  1. On the calling thread: lower every candidate, and code-generate
+///     each distinct lowering (EvalMemo key) once.
+///  2. On the shared pool's workers: compile each distinct kernel, and
+///     meanwhile simulate each distinct lowering once, at most Jobs at a
+///     time (one after another on the sequential engine at Jobs == 1).
+///  3. After every compile and simulation has finished, on the calling
+///     thread: model and measure each candidate in enumeration order.
+/// A candidate's tuner.candidate span covers its phase-3 work, and its
+/// wall time its phase-1 and phase-3 work; the shared phase 2 is not
+/// charged to any one candidate.
+void measuredSweep(const TuningProblem &P, const DeviceSpec &Dev,
+                   const std::vector<Candidate> &Cands,
+                   const TuneOptions &Opts, std::vector<Evaluated> &Evals,
+                   std::vector<PruneReason> &Reasons,
+                   obs::FlightRecorder *Recorder) {
+  const std::size_t N = Cands.size();
+  ProblemEnv Env(P, Dev);
+  EvalMemo Memo;
+  std::vector<SharedLowering> Lowerings;
+  std::vector<std::size_t> LoweringOf(N, 0);
+  std::vector<std::uint64_t> Hashes(N, 0);
+  std::vector<double> WallUs(N, 0.0);
+
+  for (std::size_t I = 0; I != N; ++I) {
+    auto T0 = std::chrono::steady_clock::now();
+    Evals[I].C = Cands[I];
+    ir::Program Low =
+        lowerCandidate(P, Dev, Cands[I], Env, Reasons[I], Evals[I].WhyNot);
+    if (Low)
+      Hashes[I] = ir::structuralHash(Low);
+    if (Reasons[I] == PruneReason::None) {
+      bool Owner = false;
+      EvalMemo::Entry *Ent =
+          Memo.acquire(Low, Env.Measure, Env.Target, Env.Cache, Owner);
+      if (Owner)
+        Lowerings.push_back({Ent, Hashes[I],
+                             codegen::compileProgram(Low, P.B->Name),
+                             nullptr});
+      LoweringOf[I] = Ent->Ordinal;
+      Evals[I].FromMemo = !Owner;
+    }
+    WallUs[I] = microsSince(T0);
+  }
+
+  ThreadPool &Pool = ThreadPool::shared();
+  const unsigned Width = Pool.workers();
+  const unsigned SimWidth =
+      Opts.Jobs == 0 ? Width : std::min(Opts.Jobs, Width);
+  std::atomic<std::size_t> NextSim{0}, NextCompile{0};
+  Pool.parallelFor(Width, [&](std::size_t W) {
+    // The first SimWidth tasks drain the simulations; then every task
+    // drains the compiles.
+    for (std::size_t L; W < SimWidth && (L = NextSim++) < Lowerings.size();) {
+      SharedLowering &SL = Lowerings[L];
+      codegen::RunResult Run = codegen::runCompiled(
+          SL.Code, P.Inputs, Env.Measure, Env.Cache, Opts.Jobs);
+      SL.Sim->publish(Run.Counters, analyzeNDRange(SL.Code.K, Env.Target));
+    }
+    for (std::size_t L; (L = NextCompile++) < Lowerings.size();) {
+      try {
+        Lowerings[L].Kernel = native::KernelCache::global().getOrCompile(
+            Lowerings[L].Hash, Lowerings[L].Code.K);
+      } catch (const native::NativeError &) {
+        // The null kernel prunes the lowering's candidates below.
+      }
+    }
+  });
+
+  for (std::size_t I = 0; I != N; ++I) {
+    obs::Span CandSpan("tuner.candidate", "tuner");
+    CandSpan.arg("variant", Cands[I].describe());
+    auto T0 = std::chrono::steady_clock::now();
+    Evaluated &R = Evals[I];
+    if (Reasons[I] == PruneReason::None) {
+      const SharedLowering &SL = Lowerings[LoweringOf[I]];
+      applyModel(P, Dev, SL.Sim->Counters, SL.Sim->ND, R);
+      if (SL.Kernel) {
+        // Wall clock is noisy, so every candidate is timed on its own,
+        // work-group-size variants of one lowering included.
+        native::NativeRunResult NR = native::runNative(
+            SL.Code, *SL.Kernel, P.Inputs, Env.Measure,
+            Opts.MeasureThreads, Opts.MeasureWarmup, Opts.MeasureRepeats);
+        R.MeasuredSeconds = NR.Seconds;
+        R.MeasuredGElemsPerSec =
+            double(totalElems(P.Measure)) / NR.Seconds / 1e9;
+      } else {
+        Reasons[I] = PruneReason::NativeFailed;
+        R.Valid = false;
+      }
+    }
+    obs::CandidateRecord Rec;
+    Rec.Index = I;
+    Rec.LoweredHash = Hashes[I];
+    recordOutcome(Opts, Reasons[I], WallUs[I] + microsSince(T0), R,
+                  Recorder ? &Rec : nullptr);
+    if (Recorder)
+      Recorder->record(I, std::move(Rec));
+    CandSpan.arg("valid", std::int64_t(R.Valid ? 1 : 0));
+  }
 }
 
 } // namespace
@@ -514,10 +645,6 @@ TuneResult lift::tuner::tuneStencil(const TuningProblem &P,
   // below is independent of evaluation order (and thread schedule).
   std::vector<Evaluated> Evals(Candidates.size());
   std::vector<PruneReason> Reasons(Candidates.size(), PruneReason::None);
-  EvalMemo Memo;
-  // Jobs == 1 is the legacy sequential tuner verbatim: tree-walking
-  // simulator, no memo, plain loop.
-  EvalMemo *MemoPtr = Opts.UseMemo && Opts.Jobs != 1 ? &Memo : nullptr;
 
   obs::FlightRecorder &Recorder = obs::FlightRecorder::global();
   const bool Record = Recorder.enabled();
@@ -525,21 +652,30 @@ TuneResult lift::tuner::tuneStencil(const TuningProblem &P,
     Recorder.beginTune(P.B->Name, Candidates.size());
   TuneSpan.arg("candidates", std::int64_t(Candidates.size()));
 
-  unsigned Par =
-      Opts.Jobs == 0 ? ThreadPool::shared().workers() : Opts.Jobs;
-  auto EvalOne = [&](std::size_t I) {
-    obs::CandidateRecord Rec;
-    Rec.Index = I;
-    Evals[I] = evalInstrumented(P, Dev, Candidates[I], Opts, MemoPtr,
-                                Reasons[I], Record ? &Rec : nullptr);
-    if (Record)
-      Recorder.record(I, std::move(Rec));
-  };
-  if (Par <= 1) {
-    for (std::size_t I = 0; I != Candidates.size(); ++I)
-      EvalOne(I);
+  if (Opts.Obj == Objective::Measured) {
+    measuredSweep(P, Dev, Candidates, Opts, Evals, Reasons,
+                  Record ? &Recorder : nullptr);
   } else {
-    ThreadPool::shared().parallelFor(Candidates.size(), EvalOne, Par);
+    EvalMemo Memo;
+    // Jobs == 1 is the legacy sequential tuner verbatim: tree-walking
+    // simulator, no memo, plain loop.
+    EvalMemo *MemoPtr = Opts.UseMemo && Opts.Jobs != 1 ? &Memo : nullptr;
+    unsigned Par =
+        Opts.Jobs == 0 ? ThreadPool::shared().workers() : Opts.Jobs;
+    auto EvalOne = [&](std::size_t I) {
+      obs::CandidateRecord Rec;
+      Rec.Index = I;
+      Evals[I] = evalInstrumented(P, Dev, Candidates[I], Opts, MemoPtr,
+                                  Reasons[I], Record ? &Rec : nullptr);
+      if (Record)
+        Recorder.record(I, std::move(Rec));
+    };
+    if (Par <= 1) {
+      for (std::size_t I = 0; I != Candidates.size(); ++I)
+        EvalOne(I);
+    } else {
+      ThreadPool::shared().parallelFor(Candidates.size(), EvalOne, Par);
+    }
   }
 
   // Deterministic argmin: scan in enumeration order, first strictly

@@ -23,6 +23,12 @@
 /// Simulation is deterministic, so unlike the paper's three hours of
 /// wall-clock tuning per benchmark, exhaustive search is exact.
 ///
+/// The measured objective also runs every valid candidate natively, in
+/// three phases: lower every candidate and code-generate each distinct
+/// lowering once; compile the distinct kernels on the thread pool while
+/// simulating each distinct lowering once; then, with nothing else
+/// running, time each candidate in enumeration order.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LIFT_TUNER_TUNER_H
@@ -142,9 +148,9 @@ struct PruneStats {
 
 /// Knobs of the search driver itself (not of the search space).
 struct TuneOptions {
-  /// Candidate evaluations run on up to this many pool workers
-  /// (0 = all hardware workers). 1 keeps the legacy fully sequential
-  /// tree-walking simulator; any other value also switches the inner
+  /// Simulations run on up to this many pool workers (0 = all hardware
+  /// workers). 1 keeps the legacy sequential tree-walking simulator,
+  /// one simulation at a time; any other value also switches the
   /// simulation to the compiled engine. The winner is identical for
   /// any value: results are deterministic and the argmin tie-break is
   /// always "first candidate in enumeration order".
@@ -153,12 +159,16 @@ struct TuneOptions {
   /// are structurally equal under the same size bindings and cache
   /// configuration (e.g. work-group-size variants of one untiled
   /// lowering). Never changes results, only skips redundant work.
-  /// Ignored at Jobs == 1, which stays the legacy tuner verbatim.
+  /// Modeled sweeps only, and ignored at Jobs == 1, which stays the
+  /// legacy tuner verbatim. Measured sweeps always share one
+  /// simulation per distinct lowering, at every Jobs value.
   bool UseMemo = true;
   /// What the argmin ranks by. Objective::Measured needs a working
-  /// host C toolchain; candidates whose native compilation fails are
-  /// pruned as "native-compile-failed". Measured runs are serialized
-  /// process-wide, so Jobs == 1 is the sensible pairing.
+  /// host C toolchain; candidates whose native compilation fails (or
+  /// exceeds the compile time limit) are pruned as
+  /// "native-compile-failed". A measured sweep compiles each distinct
+  /// lowering once on the pool's workers while it simulates, and times
+  /// the candidates only after every compile and simulation finished.
   Objective Obj = Objective::Modeled;
   /// Measured objective only: OpenMP threads per native run
   /// (0 = all hardware threads), untimed warmup executions, and timed

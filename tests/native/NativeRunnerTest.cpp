@@ -3,9 +3,11 @@
 // Part of the liftcpp project.
 //
 // Exercises the native execution backend end to end (bit-identity
-// against the simulator, thread-count determinism, the compiled-kernel
-// cache) and each recoverable error path: compiler not found, compile
-// failure with diagnostics, missing entry symbol. Also pins the temp
+// against the simulator, thread-count determinism, unloading a kernel
+// after a multi-threaded run, the compiled-kernel cache) and each
+// recoverable error path: compiler not found, compile failure with
+// diagnostics, a hung compiler killed at the time limit, missing entry
+// symbol. Also pins the temp
 // hygiene contract — a private $TMPDIR is left empty after both
 // successful and failing compilations.
 //
@@ -19,9 +21,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <dirent.h>
+#include <sys/stat.h>
+#include <unistd.h>
 #include <string>
 #include <vector>
 
@@ -146,6 +152,22 @@ TEST(NativeRunner, WarmupAndRepeatsKeepOutputStable) {
   EXPECT_GT(Timed.Seconds, 0.0);
 }
 
+TEST(NativeRunner, UnloadAfterMultiThreadedRunThenReload) {
+  // Dropping the last reference dlclose()s the kernel. The OpenMP
+  // runtime it pulled in must outlive it: its worker threads are still
+  // parked inside the runtime after a multi-threaded run.
+  REQUIRE_TOOLCHAIN();
+  Built B = buildBench("Stencil2D", /*Tiled=*/false);
+  std::vector<float> First;
+  for (int I = 0; I != 20; ++I) {
+    NativeKernelPtr Kern = compileKernel(B.C.K);
+    NativeRunResult NR = runNative(B.C, *Kern, B.Inputs, B.Sizes, 3);
+    if (I == 0)
+      First = NR.Output;
+    ASSERT_TRUE(bitIdentical(NR.Output, First)) << "reload " << I;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Kernel cache
 //===----------------------------------------------------------------------===//
@@ -210,6 +232,42 @@ TEST(NativeRunner, CompileFailureCarriesDiagnosticsAndSource) {
         << "the failing source must ride along for artifacts";
     EXPECT_NE(std::string(Ex.what()).find("failed"), std::string::npos);
   }
+}
+
+TEST(NativeRunner, HungCompilerIsKilledAtTheTimeLimit) {
+  // A "compiler" that never finishes: one child process, killed at the
+  // deadline, reported as a recoverable compile failure.
+  char Dir[] = "/tmp/lift-native-test-XXXXXX";
+  ASSERT_NE(::mkdtemp(Dir), nullptr);
+  std::string Script = std::string(Dir) + "/hung-cc";
+  {
+    std::FILE *F = std::fopen(Script.c_str(), "w");
+    ASSERT_NE(F, nullptr);
+    std::fputs("#!/bin/sh\nexec sleep 60\n", F);
+    std::fclose(F);
+  }
+  ASSERT_EQ(::chmod(Script.c_str(), 0755), 0);
+  const char *OldCC = std::getenv("LIFT_NATIVE_CC");
+  std::string SavedCC = OldCC ? OldCC : "";
+  ::setenv("LIFT_NATIVE_CC", Script.c_str(), 1);
+
+  NativeOptions O;
+  O.CompileTimeoutSeconds = 1;
+  auto T0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(compileCSource(TrivialEntry, "tiny_entry", O),
+               CompileFailedError);
+  double Waited = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - T0)
+                      .count();
+  EXPECT_GE(Waited, 1.0);
+  EXPECT_LT(Waited, 10.0) << "the hung compiler was not killed";
+
+  if (OldCC)
+    ::setenv("LIFT_NATIVE_CC", SavedCC.c_str(), 1);
+  else
+    ::unsetenv("LIFT_NATIVE_CC");
+  ::unlink(Script.c_str());
+  ::rmdir(Dir);
 }
 
 TEST(NativeRunner, MissingEntrySymbolIsSymbolNotFound) {

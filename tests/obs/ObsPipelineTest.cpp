@@ -142,7 +142,8 @@ TEST(ObsPipeline, FlightRecordsIdenticalAcrossJobsExceptTiming) {
     EXPECT_EQ(A.PruneReason, B.PruneReason);
     EXPECT_EQ(A.Valid, B.Valid);
     // WallMicros and FromMemo are the two fields that legitimately
-    // depend on the schedule (the memo only engages at jobs != 1).
+    // depend on the schedule (a modeled sweep engages the memo only at
+    // jobs != 1; a measured one shares simulations at every job count).
   }
 }
 

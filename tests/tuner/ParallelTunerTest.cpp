@@ -5,14 +5,25 @@
 // The parallel tuner must be a pure performance feature: the winning
 // candidate, its predicted time, and the set of valid candidates are
 // identical for any job count, the evaluation memo never changes
-// results, and a search in which every candidate is pruned reports the
-// per-constraint counts instead of failing opaquely.
+// results, the measured objective's parallel compile-and-simulate phase
+// changes neither the modeled times nor the quiet timing of each
+// candidate, and a search in which every candidate is pruned reports
+// the per-constraint counts instead of failing opaquely.
 //
 //===----------------------------------------------------------------------===//
 
+#include "native/NativeRunner.h"
+#include "obs/FlightRecorder.h"
+#include "obs/Json.h"
+#include "obs/Metrics.h"
+#include "obs/Trace.h"
 #include "tuner/Tuner.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <utility>
+#include <vector>
 
 using namespace lift;
 using namespace lift::ocl;
@@ -79,6 +90,101 @@ TEST(ParallelTuner, MemoDeduplicatesEquivalentLowerings) {
     EXPECT_EQ(RM.All[I].T.Total, RN.All[I].T.Total)
         << RM.All[I].C.describe();
   EXPECT_EQ(RM.Best.C.describe(), RN.Best.C.describe());
+}
+
+bool haveToolchain() {
+  try {
+    native::probeToolchain();
+    return true;
+  } catch (const native::NativeError &) {
+    return false;
+  }
+}
+
+/// [start, end) in microseconds of every complete trace event \p Name.
+std::vector<std::pair<double, double>> spans(const obs::json::Value &Doc,
+                                             const std::string &Name) {
+  std::vector<std::pair<double, double>> Out;
+  for (const obs::json::Value &E : Doc.find("traceEvents")->array())
+    if (E.find("ph")->asString() == "X" && E.find("name")->asString() == Name)
+      Out.emplace_back(E.find("ts")->asNumber(),
+                       E.find("ts")->asNumber() + E.find("dur")->asNumber());
+  return Out;
+}
+
+TEST(ParallelTuner, MeasuredSweepModelsLikeModeledAndTimesQuietly) {
+  if (!haveToolchain())
+    GTEST_SKIP() << "no usable host C compiler; skipping measured sweep";
+  const Benchmark &B = findBenchmark("Jacobi2D5pt");
+  TuningProblem P = makeProblem(B, /*LargeTarget=*/false);
+  TuningSpace S = trimmedSpace();
+  DeviceSpec Dev = deviceNvidiaK20c();
+
+  TuneOptions MO;
+  MO.Jobs = 1;
+  MO.UseMemo = false;
+  TuneResult Modeled = tuneStencil(P, Dev, S, MO);
+
+  // Jobs == 1 simulates on the sequential engine, Jobs == 2 on the
+  // compiled one next to the compiles.
+  for (unsigned Jobs : {1u, 2u}) {
+    native::KernelCache::global().clear();
+    obs::Registry::global().reset();
+    obs::FlightRecorder &FR = obs::FlightRecorder::global();
+    FR.clear();
+    FR.setEnabled(true);
+    obs::Tracer &Tr = obs::Tracer::global();
+    Tr.clear();
+    Tr.enable();
+    TuneOptions NO;
+    NO.Jobs = Jobs;
+    NO.Obj = Objective::Measured;
+    NO.MeasureWarmup = 0;
+    NO.MeasureRepeats = 1;
+    TuneResult Measured = tuneStencil(P, Dev, S, NO);
+    Tr.disable();
+    FR.setEnabled(false);
+
+    // Sharing one simulation per lowering leaves every modeled time, the
+    // candidate order and the prune counts exactly as the legacy sweep.
+    ASSERT_EQ(Measured.All.size(), Modeled.All.size());
+    for (std::size_t I = 0; I != Modeled.All.size(); ++I) {
+      const Evaluated &E = Measured.All[I];
+      EXPECT_EQ(E.C.describe(), Modeled.All[I].C.describe());
+      EXPECT_EQ(E.T.Total, Modeled.All[I].T.Total)
+          << E.C.describe() << " jobs=" << Jobs;
+      EXPECT_GT(E.MeasuredSeconds, 0.0) << E.C.describe() << " jobs=" << Jobs;
+    }
+    EXPECT_EQ(Measured.Prunes.describe(), Modeled.Prunes.describe());
+
+    // One host compile per distinct lowering.
+    std::vector<obs::FlightRecorder::TuneLog> Logs = FR.logs();
+    ASSERT_EQ(Logs.size(), 1u);
+    std::set<std::uint64_t> Lowerings;
+    for (const obs::CandidateRecord &R : Logs.front().Records)
+      if (R.Valid)
+        Lowerings.insert(R.LoweredHash);
+    EXPECT_EQ(obs::Registry::global().counterValues(
+                  "native.cache.")["native.cache.misses"],
+              Lowerings.size());
+    FR.clear();
+
+    // No compile runs while a candidate is timed.
+    obs::json::Value Doc;
+    std::string Err;
+    ASSERT_TRUE(obs::json::parse(Tr.exportChromeJson(), Doc, &Err)) << Err;
+    Tr.clear();
+    auto Compiles = spans(Doc, "native.compile");
+    auto Runs = spans(Doc, "native.run");
+    EXPECT_EQ(Compiles.size(), Lowerings.size());
+    EXPECT_EQ(Runs.size(), Measured.All.size());
+    for (const auto &C : Compiles)
+      for (const auto &R : Runs)
+        EXPECT_TRUE(C.second <= R.first || R.second <= C.first)
+            << "native.compile [" << C.first << ", " << C.second
+            << ") overlaps native.run [" << R.first << ", " << R.second
+            << ")";
+  }
 }
 
 TEST(ParallelTuner, RemainderTilesAreNotPruned) {

@@ -487,9 +487,9 @@ int cmdTune(const Args &A) {
   TO.Jobs = A.Jobs;
   const bool Measured = A.Backend == "native";
   if (Measured) {
-    // Measured runs are serialized process-wide, so candidate-level
-    // parallelism buys nothing; --jobs becomes the per-run OpenMP
-    // thread count instead.
+    // --jobs sets the OpenMP threads of each timed run. Simulation
+    // stays on the sequential engine; the host compiles still fan out
+    // over the thread pool, and every timed run waits until they finish.
     TO.Obj = tuner::Objective::Measured;
     TO.Jobs = 1;
     TO.MeasureThreads = A.Jobs;
